@@ -10,32 +10,6 @@ namespace snaps {
 
 namespace {
 
-/// Rel-Cluster behind the Clusterer interface: delegates to
-/// RelClusterBaseline::LinkFromCandidates and canonicalises the
-/// labels.
-class RelClusterClusterer : public Clusterer {
- public:
-  explicit RelClusterClusterer(RelClusterBaseline baseline)
-      : baseline_(std::move(baseline)) {}
-
-  const char* name() const override { return "relcluster"; }
-
-  ClustererResult Cluster(const Dataset& dataset,
-                          const std::vector<CandidatePair>& candidates,
-                          const ExecutionContext& exec) const override {
-    RelClusterResult rel = baseline_.LinkFromCandidates(dataset, candidates,
-                                                        exec);
-    ClustererResult result;
-    result.cluster_of = std::move(rel.cluster_of);
-    result.stats = rel.stats;
-    CanonicalizeClusterLabels(&result.cluster_of);
-    return result;
-  }
-
- private:
-  RelClusterBaseline baseline_;
-};
-
 /// Name -> factory map behind a mutex; the map is ordered so name
 /// listings come out sorted for free.
 class Registry {
@@ -82,6 +56,14 @@ class Registry {
       return std::unique_ptr<Clusterer>(
           std::make_unique<GraphClusterer>(std::move(clusterer).value()));
     };
+    factories_["depgraph"] =
+        [](const ClustererSpec& spec) -> Result<std::unique_ptr<Clusterer>> {
+      Result<DepGraphClusterer> clusterer =
+          DepGraphClusterer::Create(spec.depgraph);
+      if (!clusterer.ok()) return clusterer.status();
+      return std::unique_ptr<Clusterer>(std::make_unique<DepGraphClusterer>(
+          std::move(clusterer).value()));
+    };
     factories_["hier"] =
         [](const ClustererSpec& spec) -> Result<std::unique_ptr<Clusterer>> {
       Result<HierarchicalClusterer> clusterer =
@@ -92,11 +74,11 @@ class Registry {
     };
     factories_["relcluster"] =
         [](const ClustererSpec& spec) -> Result<std::unique_ptr<Clusterer>> {
-      Result<RelClusterBaseline> baseline =
+      Result<RelClusterBaseline> clusterer =
           RelClusterBaseline::Create(spec.relcluster);
-      if (!baseline.ok()) return baseline.status();
-      return std::unique_ptr<Clusterer>(std::make_unique<RelClusterClusterer>(
-          std::move(baseline).value()));
+      if (!clusterer.ok()) return clusterer.status();
+      return std::unique_ptr<Clusterer>(std::make_unique<RelClusterBaseline>(
+          std::move(clusterer).value()));
     };
   }
 

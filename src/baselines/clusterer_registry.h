@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/dep_graph.h"
 #include "baselines/hierarchical_clusterer.h"
 #include "baselines/rel_cluster.h"
 #include "core/clusterer.h"
@@ -17,11 +18,13 @@ namespace snaps {
 /// Names a clustering technique plus the per-technique
 /// configurations; only the configuration of the named technique is
 /// consulted and validated. Built-in names: "graph" (the SNAPS
-/// pipeline, the default), "hier" (agglomerative hierarchical record
-/// clustering) and "relcluster" (collective relational clustering).
+/// pipeline, the default), "depgraph" (the Dep-Graph baseline), "hier"
+/// (agglomerative hierarchical record clustering) and "relcluster"
+/// (collective relational clustering).
 struct ClustererSpec {
   std::string name = "graph";
   ErConfig graph;
+  DepGraphConfig depgraph;
   HierarchicalConfig hier;
   RelClusterConfig relcluster;
 

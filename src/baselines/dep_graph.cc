@@ -1,92 +1,34 @@
 #include "baselines/dep_graph.h"
 
-#include <algorithm>
 #include <queue>
+#include <utility>
 
+#include "core/entity_store.h"
 #include "core/graph_builder.h"
 #include "core/similarity.h"
-#include "strsim/comparator.h"
 #include "util/timer.h"
 
 namespace snaps {
 
-std::vector<std::pair<RecordId, RecordId>> DepGraphResult::MatchedPairs()
-    const {
-  std::vector<std::pair<RecordId, RecordId>> pairs;
-  for (EntityId e : entities->NonSingletonEntities()) {
-    const auto& records = entities->cluster(e).records;
-    for (size_t i = 0; i < records.size(); ++i) {
-      for (size_t j = i + 1; j < records.size(); ++j) {
-        RecordId a = records[i], b = records[j];
-        if (a > b) std::swap(a, b);
-        pairs.emplace_back(a, b);
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
-}
-
-DepGraphBaseline::DepGraphBaseline(DepGraphConfig config)
+DepGraphClusterer::DepGraphClusterer(DepGraphConfig config)
     : config_(std::move(config)) {}
 
-namespace {
-
-/// PROP-A for the baseline: same value propagation as the SNAPS
-/// engine (best value pair between the two entities).
-void PropagateValues(const Dataset& dataset, const ErConfig& cfg,
-                     const EntityStore& entities, DependencyGraph& graph,
-                     RelNodeId id) {
-  RelationalNode& node = graph.mutable_rel_node(id);
-  const EntityCluster& ca = entities.cluster(entities.entity_of(node.rec_a));
-  const EntityCluster& cb = entities.cluster(entities.entity_of(node.rec_b));
-  if (ca.records.size() == 1 && cb.records.size() == 1) return;
-  const Record& rec_a = dataset.record(node.rec_a);
-  const Record& rec_b = dataset.record(node.rec_b);
-  for (Attr attr : cfg.schema.SimilarityAttrs()) {
-    const size_t ai = static_cast<size_t>(attr);
-    double best = node.base_sims[ai];
-    const std::string* best_a = nullptr;
-    const std::string* best_b = nullptr;
-    constexpr size_t kMaxScan = 8;
-    auto scan = [&](const std::string& anchor,
-                    const std::vector<std::string>& others,
-                    bool anchor_is_a) {
-      if (anchor.empty()) return;
-      const size_t limit = std::min(others.size(), kMaxScan);
-      for (size_t i = 0; i < limit; ++i) {
-        const double sim =
-            CompareValues(cfg.schema.comparator(attr), anchor, others[i],
-                          cfg.schema.comparator_params);
-        if (sim > best) {
-          best = sim;
-          best_a = anchor_is_a ? &anchor : &others[i];
-          best_b = anchor_is_a ? &others[i] : &anchor;
-        }
-      }
-    };
-    scan(rec_a.value(attr), cb.values[ai], /*anchor_is_a=*/true);
-    scan(rec_b.value(attr), ca.values[ai], /*anchor_is_a=*/false);
-    node.raw_sims[ai] = static_cast<float>(best);
-    if (best_a != nullptr && best >= cfg.atomic_threshold) {
-      node.atomic[ai] = graph.InternAtomicNode(attr, *best_a, *best_b, best);
-    }
-  }
+Result<DepGraphClusterer> DepGraphClusterer::Create(DepGraphConfig config) {
+  if (Result<void> v = config.er.Validate(); !v.ok()) return v.status();
+  return DepGraphClusterer(std::move(config));
 }
 
-}  // namespace
-
-DepGraphResult DepGraphBaseline::Link(const Dataset& dataset) const {
+ClustererResult DepGraphClusterer::Cluster(
+    const Dataset& dataset, const std::vector<CandidatePair>& candidates,
+    const ExecutionContext& exec) const {
   const ErConfig& cfg = config_.er;
   Timer total_timer;
-
-  DepGraphResult result;
-  result.entities = std::make_unique<EntityStore>(
-      &dataset, LinkConstraints(cfg.temporal));
-  EntityStore& entities = *result.entities;
+  ClustererResult result;
+  EntityStore entities(&dataset, LinkConstraints(cfg.temporal));
 
   DependencyGraph graph;
-  BuildDependencyGraphForDataset(dataset, cfg, &graph, &result.stats);
+  BuildDependencyGraphFromCandidates(dataset, cfg, candidates, &graph,
+                                     &result.stats, exec);
   const SimilarityModel model(&dataset, &cfg.schema, cfg.gamma);
 
   // Node-at-a-time greedy merging: a priority queue ordered by the
@@ -119,15 +61,22 @@ DepGraphResult DepGraphBaseline::Link(const Dataset& dataset) const {
     if (node.merged) continue;
     if (top.sim != node.similarity) continue;  // Stale entry.
     if (node.similarity < cfg.merge_threshold) continue;
-    if (!entities.CanLink(node.rec_a, node.rec_b)) continue;  // PROP-C.
+    if (cfg.enable_prop_c && !entities.CanLink(node.rec_a, node.rec_b)) {
+      continue;
+    }
     entities.Link(top.id, node.rec_a, node.rec_b, &graph);
     result.stats.num_merged_nodes++;
 
-    // Dependency propagation to relationship neighbours.
+    // Dependency propagation (PROP-A, without the engine's first-name
+    // gate) to relationship neighbours.
     for (const RelEdge& e : node.neighbors) {
       RelationalNode& nb = graph.mutable_rel_node(e.target);
       if (nb.merged) continue;
-      PropagateValues(dataset, cfg, entities, graph, e.target);
+      PropPlan plan;
+      if (ComputePropPlan(dataset, cfg.schema, entities, nb, &plan)) {
+        ApplyPropPlan(cfg.schema, cfg.atomic_threshold, plan, e.target,
+                      &graph);
+      }
       const double s = model.AtomicSimilarity(graph, nb);
       if (s != nb.similarity) {
         nb.similarity = s;
@@ -137,6 +86,8 @@ DepGraphResult DepGraphBaseline::Link(const Dataset& dataset) const {
   }
   result.stats.merge_seconds = merge_timer.ElapsedSeconds();
   result.stats.num_entities = entities.NumMergedEntities();
+  result.cluster_of = entities.raw_entity_of();
+  CanonicalizeClusterLabels(&result.cluster_of);
   result.stats.total_seconds = total_timer.ElapsedSeconds();
   return result;
 }

@@ -1,25 +1,21 @@
 #ifndef SNAPS_BASELINES_DEP_GRAPH_H_
 #define SNAPS_BASELINES_DEP_GRAPH_H_
 
-#include <memory>
-#include <utility>
 #include <vector>
 
+#include "core/clusterer.h"
 #include "core/er_config.h"
-#include "core/entity_store.h"
 #include "data/dataset.h"
+#include "util/status.h"
 
 namespace snaps {
 
-/// The Dep-Graph baseline (Section 10): a reference-reconciliation
-/// style collective ER in the spirit of Dong, Halevy and Madhavan
-/// (2005). Link decisions propagate through the dependency graph
-/// (value changes and constraints, like PROP-A / PROP-C) but nodes
-/// are merged one at a time by their own similarity: no ambiguity
-/// component, no group-average REL handling of partial-match groups,
-/// and no cluster refinement.
+/// Configuration of the Dep-Graph baseline. It shares the SNAPS graph
+/// construction, thresholds and the PROP-C toggle (`er.enable_prop_c`);
+/// the blocking spec inside `er` is unused, since candidates come from
+/// the caller's Blocker.
 struct DepGraphConfig {
-  ErConfig er;  // Shares the graph construction and thresholds.
+  ErConfig er;
 
   DepGraphConfig() {
     // Dep-Graph merges on the atomic similarity alone (no
@@ -29,17 +25,33 @@ struct DepGraphConfig {
   }
 };
 
-struct DepGraphResult {
-  std::unique_ptr<EntityStore> entities;
-  ErStats stats;
-  std::vector<std::pair<RecordId, RecordId>> MatchedPairs() const;
-};
-
-class DepGraphBaseline {
+/// The Dep-Graph baseline (Section 10): a reference-reconciliation
+/// style collective ER in the spirit of Dong, Halevy and Madhavan
+/// (2005). Link decisions propagate through the dependency graph
+/// (value changes and constraints, like PROP-A / PROP-C) but nodes
+/// are merged one at a time by their own similarity: no ambiguity
+/// component, no group-average REL handling of partial-match groups,
+/// and no cluster refinement. Registered as "depgraph" in
+/// baselines/clusterer_registry.h.
+class DepGraphClusterer : public Clusterer {
  public:
-  explicit DepGraphBaseline(DepGraphConfig config = DepGraphConfig());
+  /// Unchecked construction over a known-good config; prefer Create()
+  /// for configs assembled from user input or files.
+  explicit DepGraphClusterer(DepGraphConfig config = DepGraphConfig());
 
-  DepGraphResult Link(const Dataset& dataset) const;
+  /// Validating factory: rejects any config whose `er` fails
+  /// ErConfig::Validate().
+  static Result<DepGraphClusterer> Create(DepGraphConfig config);
+
+  const char* name() const override { return "depgraph"; }
+
+  /// Graph construction over the candidates fans out over `exec`
+  /// (BuildDependencyGraphFromCandidates); the node-at-a-time merge
+  /// loop stays sequential, so the clustering is byte-identical for
+  /// any thread count.
+  ClustererResult Cluster(const Dataset& dataset,
+                          const std::vector<CandidatePair>& candidates,
+                          const ExecutionContext& exec) const override;
 
  private:
   DepGraphConfig config_;

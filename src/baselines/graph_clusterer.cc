@@ -16,16 +16,9 @@ Result<GraphClusterer> GraphClusterer::Create(ErConfig config) {
 ClustererResult GraphClusterer::Cluster(
     const Dataset& dataset, const std::vector<CandidatePair>& candidates,
     const ExecutionContext& exec) const {
-  const ErEngine engine(config_, exec);
-  const ErResult er = engine.ResolveFromCandidates(dataset, candidates);
-  ClustererResult result;
-  result.stats = er.stats;
-  result.cluster_of.resize(dataset.num_records());
-  for (RecordId r = 0; r < dataset.num_records(); ++r) {
-    result.cluster_of[r] = er.entities->entity_of(r);
-  }
-  CanonicalizeClusterLabels(&result.cluster_of);
-  return result;
+  return ErEngine(config_, exec)
+      .ResolveFromCandidates(dataset, candidates)
+      .Clusters();
 }
 
 }  // namespace snaps

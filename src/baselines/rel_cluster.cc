@@ -2,34 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <queue>
 #include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "core/similarity.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
 namespace snaps {
-
-std::vector<std::pair<RecordId, RecordId>> RelClusterResult::MatchedPairs()
-    const {
-  std::unordered_map<uint32_t, std::vector<RecordId>> members;
-  for (RecordId r = 0; r < cluster_of.size(); ++r) {
-    members[cluster_of[r]].push_back(r);
-  }
-  std::vector<std::pair<RecordId, RecordId>> pairs;
-  for (const auto& [c, records] : members) {
-    for (size_t i = 0; i < records.size(); ++i) {
-      for (size_t j = i + 1; j < records.size(); ++j) {
-        pairs.emplace_back(records[i], records[j]);
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
-}
 
 RelClusterBaseline::RelClusterBaseline(RelClusterConfig config)
     : config_(std::move(config)) {}
@@ -52,7 +33,7 @@ Result<void> RelClusterConfig::Validate() const {
   if (max_iterations < 1) {
     return Status::InvalidArgument("max_iterations must be >= 1");
   }
-  return blocker.Validate();
+  return Result<void>::Ok();
 }
 
 Result<RelClusterBaseline> RelClusterBaseline::Create(RelClusterConfig config) {
@@ -107,18 +88,12 @@ double RelationalSimilarity(const ClusterState& st, uint32_t ca, uint32_t cb) {
 
 }  // namespace
 
-RelClusterResult RelClusterBaseline::Link(const Dataset& dataset) const {
-  const std::unique_ptr<Blocker> blocker =
-      CreateBlocker(config_.blocker).value();
-  return LinkFromCandidates(dataset, blocker->CandidatePairs(dataset));
-}
-
-RelClusterResult RelClusterBaseline::LinkFromCandidates(
+ClustererResult RelClusterBaseline::Cluster(
     const Dataset& dataset, const std::vector<CandidatePair>& candidates,
     const ExecutionContext& exec) const {
   const RelClusterConfig& cfg = config_;
   Timer total_timer;
-  RelClusterResult result;
+  ClustererResult result;
 
   const size_t n = dataset.num_records();
   ClusterState st;
@@ -233,7 +208,8 @@ RelClusterResult RelClusterBaseline::LinkFromCandidates(
   }
   result.stats.merge_seconds = merge_timer.ElapsedSeconds();
 
-  result.cluster_of = st.cluster_of;
+  result.cluster_of = std::move(st.cluster_of);
+  CanonicalizeClusterLabels(&result.cluster_of);
   size_t entities = 0;
   for (const auto& m : st.members) {
     if (m.size() >= 2) ++entities;

@@ -1,16 +1,12 @@
 #ifndef SNAPS_BASELINES_REL_CLUSTER_H_
 #define SNAPS_BASELINES_REL_CLUSTER_H_
 
-#include <memory>
-#include <utility>
 #include <vector>
 
-#include "blocking/blocker_registry.h"
+#include "core/clusterer.h"
 #include "core/constraints.h"
-#include "core/er_config.h"
 #include "data/dataset.h"
 #include "data/schema.h"
-#include "util/execution_context.h"
 #include "util/status.h"
 
 namespace snaps {
@@ -26,7 +22,6 @@ namespace snaps {
 /// handling and no refinement.
 struct RelClusterConfig {
   Schema schema = Schema::Default();
-  BlockerSpec blocker;
   TemporalConstraints temporal;
   double alpha = 0.25;           // Weight of the relational component.
   double gamma = 0.6;            // Attr-vs-ambiguity weight (Eq. 3).
@@ -41,19 +36,12 @@ struct RelClusterConfig {
   bool use_constraints = true;
 
   /// alpha, gamma and merge_threshold finite and in [0,1],
-  /// max_iterations >= 1; the blocker spec must name a registered
-  /// technique with a valid configuration.
+  /// max_iterations >= 1.
   Result<void> Validate() const;
 };
 
-struct RelClusterResult {
-  /// Final cluster id per record.
-  std::vector<uint32_t> cluster_of;
-  ErStats stats;
-  std::vector<std::pair<RecordId, RecordId>> MatchedPairs() const;
-};
-
-class RelClusterBaseline {
+/// Registered as "relcluster" in baselines/clusterer_registry.h.
+class RelClusterBaseline : public Clusterer {
  public:
   /// Unchecked construction over a known-good config; prefer Create()
   /// for configs assembled from user input or files.
@@ -63,17 +51,14 @@ class RelClusterBaseline {
   /// RelClusterConfig::Validate().
   static Result<RelClusterBaseline> Create(RelClusterConfig config);
 
-  /// Runs the configured blocker, then LinkFromCandidates.
-  RelClusterResult Link(const Dataset& dataset) const;
+  const char* name() const override { return "relcluster"; }
 
-  /// Clustering over a pre-computed candidate list (the output of any
-  /// Blocker::CandidatePairs). The per-pair attribute similarities
-  /// (the bulk of the work) fan out over `exec`; the greedy merge
-  /// loop stays sequential, so the result is byte-identical for any
-  /// thread count.
-  RelClusterResult LinkFromCandidates(
-      const Dataset& dataset, const std::vector<CandidatePair>& candidates,
-      const ExecutionContext& exec = ExecutionContext()) const;
+  /// The per-pair attribute similarities (the bulk of the work) fan
+  /// out over `exec`; the greedy merge loop stays sequential, so the
+  /// result is byte-identical for any thread count.
+  ClustererResult Cluster(const Dataset& dataset,
+                          const std::vector<CandidatePair>& candidates,
+                          const ExecutionContext& exec) const override;
 
  private:
   RelClusterConfig config_;

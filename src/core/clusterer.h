@@ -34,9 +34,10 @@ void CanonicalizeClusterLabels(std::vector<uint32_t>* cluster_of);
 
 /// Interface of a clustering technique: turn a data set plus the
 /// blocked candidate pairs into entity clusters. Concrete techniques
-/// (the SNAPS dependency-graph pipeline, agglomerative hierarchical
-/// clustering, relational clustering) live in src/baselines/ and are
-/// registered by name in baselines/clusterer_registry.h; code outside
+/// (the SNAPS dependency-graph pipeline, the Dep-Graph baseline,
+/// agglomerative hierarchical clustering, relational clustering) live
+/// in src/baselines/ and are registered by name in
+/// baselines/clusterer_registry.h; code outside
 /// src/blocking/ and src/baselines/ goes through the registry only.
 ///
 /// Determinism contract (docs/PARALLELISM.md): Cluster() must return

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "graph/algorithms.h"
+#include "strsim/comparator.h"
 
 namespace snaps {
 
@@ -201,6 +202,64 @@ void EntityStore::RebuildProfile(EntityCluster* cluster) const {
     const Record& rec = dataset_->record(r);
     constraints_.AddRecord(&cluster->profile, rec);
     AddValues(cluster, rec);
+  }
+}
+
+bool ComputePropPlan(const Dataset& dataset, const Schema& schema,
+                     const EntityStore& entities, const RelationalNode& node,
+                     PropPlan* plan) {
+  const EntityCluster& ca = entities.cluster(entities.entity_of(node.rec_a));
+  const EntityCluster& cb = entities.cluster(entities.entity_of(node.rec_b));
+  if (ca.records.size() == 1 && cb.records.size() == 1) return false;
+  const Record& rec_a = dataset.record(node.rec_a);
+  const Record& rec_b = dataset.record(node.rec_b);
+  for (Attr attr : schema.SimilarityAttrs()) {
+    const size_t ai = static_cast<size_t>(attr);
+    double best = node.base_sims[ai];
+    const std::string* best_a = nullptr;
+    const std::string* best_b = nullptr;
+    // As in the paper's example (Section 4.2.1): compare one record's
+    // own value against the propagated value set of the *other*
+    // record's entity, in both directions. The record value anchors
+    // one side, so two polluted clusters cannot pair foreign values.
+    // Scans are bounded for robustness against degenerate clusters.
+    constexpr size_t kMaxScan = 8;
+    auto scan = [&](const std::string& anchor,
+                    const std::vector<std::string>& others,
+                    bool anchor_is_a) {
+      if (anchor.empty()) return;
+      const size_t limit = std::min(others.size(), kMaxScan);
+      for (size_t i = 0; i < limit; ++i) {
+        const double sim = CompareValues(schema.comparator(attr), anchor,
+                                         others[i], schema.comparator_params);
+        if (sim > best) {
+          best = sim;
+          best_a = anchor_is_a ? &anchor : &others[i];
+          best_b = anchor_is_a ? &others[i] : &anchor;
+        }
+      }
+    };
+    scan(rec_a.value(attr), cb.values[ai], /*anchor_is_a=*/true);
+    scan(rec_b.value(attr), ca.values[ai], /*anchor_is_a=*/false);
+    plan->best[ai] = best;
+    plan->best_a[ai] = best_a;
+    plan->best_b[ai] = best_b;
+  }
+  plan->changed = true;
+  return true;
+}
+
+void ApplyPropPlan(const Schema& schema, double atomic_threshold,
+                   const PropPlan& plan, RelNodeId id, DependencyGraph* graph) {
+  RelationalNode& node = graph->mutable_rel_node(id);
+  for (Attr attr : schema.SimilarityAttrs()) {
+    const size_t ai = static_cast<size_t>(attr);
+    node.raw_sims[ai] = static_cast<float>(plan.best[ai]);
+    if (plan.best_a[ai] != nullptr && plan.best[ai] >= atomic_threshold) {
+      node.atomic[ai] = graph->InternAtomicNode(attr, *plan.best_a[ai],
+                                                *plan.best_b[ai],
+                                                plan.best[ai]);
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include "core/constraints.h"
 #include "data/dataset.h"
+#include "data/schema.h"
 #include "graph/dependency_graph.h"
 
 namespace snaps {
@@ -109,6 +110,49 @@ class EntityStore {
   std::vector<EntityId> entity_of_;     // Per record.
   std::vector<EntityCluster> clusters_;
 };
+
+/// The outcome of one PROP-A computation (Section 4.2.1) for a
+/// relational node: the recomputed raw similarity per attribute, plus
+/// the value pair to intern when a better-than-base pair at or above
+/// t_a was found. Splitting the computation (pure, parallelisable)
+/// from its application (mutates the node and interns atomic nodes,
+/// sequential) is what lets the SNAPS engine's pass-start refresh fan
+/// out while staying byte-identical for any thread count.
+struct PropPlan {
+  /// False: both records are still singletons and the node is left
+  /// untouched.
+  bool changed = false;
+  std::array<double, kNumAttrs> best;
+  /// Non-null: a cluster value pair beat the records' own values.
+  /// Points at record values or entity cluster value lists, both
+  /// stable for the lifetime of the plan (no merges happen between
+  /// compute and apply).
+  std::array<const std::string*, kNumAttrs> best_a;
+  std::array<const std::string*, kNumAttrs> best_b;
+
+  PropPlan() {
+    best.fill(-1.0);
+    best_a.fill(nullptr);
+    best_b.fill(nullptr);
+  }
+};
+
+/// PROP-A, compute half: finds, per similarity attribute, the best-
+/// matching value pair between the two records' entities. Reads the
+/// node, entity store and dataset but mutates nothing — safe to run
+/// concurrently for distinct nodes. Returns `plan->changed`. Shared by
+/// the SNAPS engine (which gates it on the first-name similarity) and
+/// the Dep-Graph baseline.
+bool ComputePropPlan(const Dataset& dataset, const Schema& schema,
+                     const EntityStore& entities, const RelationalNode& node,
+                     PropPlan* plan);
+
+/// PROP-A, apply half: writes the recomputed raw similarities and
+/// rewires the node's atomic edges for value pairs at or above
+/// `atomic_threshold`. Interning allocates atomic-node ids, so
+/// applications must happen sequentially in a fixed order.
+void ApplyPropPlan(const Schema& schema, double atomic_threshold,
+                   const PropPlan& plan, RelNodeId id, DependencyGraph* graph);
 
 }  // namespace snaps
 

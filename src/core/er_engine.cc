@@ -8,25 +8,20 @@
 #include <vector>
 
 #include "graph/algorithms.h"
-#include "strsim/comparator.h"
 #include "util/timer.h"
 
 namespace snaps {
 
+ClustererResult ErResult::Clusters() const {
+  ClustererResult result;
+  result.stats = stats;
+  result.cluster_of = entities->raw_entity_of();
+  CanonicalizeClusterLabels(&result.cluster_of);
+  return result;
+}
+
 std::vector<std::pair<RecordId, RecordId>> ErResult::MatchedPairs() const {
-  std::vector<std::pair<RecordId, RecordId>> pairs;
-  for (EntityId e : entities->NonSingletonEntities()) {
-    const auto& records = entities->cluster(e).records;
-    for (size_t i = 0; i < records.size(); ++i) {
-      for (size_t j = i + 1; j < records.size(); ++j) {
-        RecordId a = records[i], b = records[j];
-        if (a > b) std::swap(a, b);
-        pairs.emplace_back(a, b);
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
+  return Clusters().MatchedPairs();
 }
 
 namespace {
@@ -41,105 +36,20 @@ bool SimilarityCacheFresh(const ErRunState& st, const RelationalNode& node) {
          node.last_version_b == st.entities->cluster(eb).version;
 }
 
-/// The outcome of one pure PROP-A computation: the recomputed raw
-/// similarity per attribute, plus the value pair to intern when a
-/// better-than-base pair at or above t_a was found. Splitting the
-/// computation (pure, parallelisable) from its application (mutates
-/// the node and interns atomic nodes, sequential) is what lets the
-/// pass-start refresh fan out while staying byte-identical for any
-/// thread count.
-struct PropPlan {
-  /// False: PROP-A's gates early-out and the node is left untouched.
-  bool changed = false;
-  std::array<double, kNumAttrs> best;
-  /// Non-null: a cluster value pair beat the records' own values.
-  /// Points at record values or entity cluster value lists, both
-  /// stable for the lifetime of the plan (no merges happen between
-  /// compute and apply).
-  std::array<const std::string*, kNumAttrs> best_a;
-  std::array<const std::string*, kNumAttrs> best_b;
-
-  PropPlan() {
-    best.fill(-1.0);
-    best_a.fill(nullptr);
-    best_b.fill(nullptr);
-  }
-};
-
-/// PROP-A (Section 4.2.1), compute half: finds, per attribute, the
-/// best-matching value pair between the two records' entities. Reads
-/// the graph, entity store and dataset but mutates nothing — safe to
-/// run concurrently for distinct nodes.
-bool ComputePropPlan(const ErRunState& st, RelNodeId id, PropPlan* plan) {
+/// PROP-A for the engine: the shared best-value scan
+/// (ComputePropPlan), gated on the first name. Only name-anchored
+/// pairs benefit from propagation: a pair whose Must attribute (first
+/// name) already disagrees is not the changed-QID case PROP-A exists
+/// for, and boosting its other attributes from cluster values would
+/// let wrong merges reinforce themselves.
+bool ComputeGatedPropPlan(const ErRunState& st, RelNodeId id, PropPlan* plan) {
   const RelationalNode& node = st.graph.rel_node(id);
-  const Schema& schema = st.config->schema;
-  const EntityCluster& ca =
-      st.entities->cluster(st.entities->entity_of(node.rec_a));
-  const EntityCluster& cb =
-      st.entities->cluster(st.entities->entity_of(node.rec_b));
-  if (ca.records.size() == 1 && cb.records.size() == 1) return false;
-  // Only name-anchored pairs benefit from propagation: a pair whose
-  // Must attribute (first name) already disagrees is not the
-  // changed-QID case PROP-A exists for, and boosting its other
-  // attributes from cluster values would let wrong merges reinforce
-  // themselves.
   if (node.base_sims[static_cast<size_t>(Attr::kFirstName)] <
       static_cast<float>(st.config->atomic_threshold)) {
     return false;
   }
-
-  const Record& rec_a = st.dataset->record(node.rec_a);
-  const Record& rec_b = st.dataset->record(node.rec_b);
-  for (Attr attr : schema.SimilarityAttrs()) {
-    const size_t ai = static_cast<size_t>(attr);
-    double best = node.base_sims[ai];
-    const std::string* best_a = nullptr;
-    const std::string* best_b = nullptr;
-    // As in the paper's example (Section 4.2.1): compare one record's
-    // own value against the propagated value set of the *other*
-    // record's entity, in both directions. The record value anchors
-    // one side, so two polluted clusters cannot pair foreign values.
-    // Scans are bounded for robustness against degenerate clusters.
-    constexpr size_t kMaxScan = 8;
-    auto scan = [&](const std::string& anchor,
-                    const std::vector<std::string>& others,
-                    bool anchor_is_a) {
-      if (anchor.empty()) return;
-      const size_t limit = std::min(others.size(), kMaxScan);
-      for (size_t i = 0; i < limit; ++i) {
-        const double sim = CompareValues(schema.comparator(attr), anchor,
-                                         others[i], schema.comparator_params);
-        if (sim > best) {
-          best = sim;
-          best_a = anchor_is_a ? &anchor : &others[i];
-          best_b = anchor_is_a ? &others[i] : &anchor;
-        }
-      }
-    };
-    scan(rec_a.value(attr), cb.values[ai], /*anchor_is_a=*/true);
-    scan(rec_b.value(attr), ca.values[ai], /*anchor_is_a=*/false);
-    plan->best[ai] = best;
-    plan->best_a[ai] = best_a;
-    plan->best_b[ai] = best_b;
-  }
-  plan->changed = true;
-  return true;
-}
-
-/// PROP-A, apply half: writes the recomputed raw similarities and
-/// rewires the node's atomic edges. Interning allocates atomic-node
-/// ids, so applications must happen sequentially in a fixed order.
-void ApplyPropPlan(ErRunState& st, RelNodeId id, const PropPlan& plan) {
-  RelationalNode& node = st.graph.mutable_rel_node(id);
-  for (Attr attr : st.config->schema.SimilarityAttrs()) {
-    const size_t ai = static_cast<size_t>(attr);
-    node.raw_sims[ai] = static_cast<float>(plan.best[ai]);
-    if (plan.best_a[ai] != nullptr &&
-        plan.best[ai] >= st.config->atomic_threshold) {
-      node.atomic[ai] = st.graph.InternAtomicNode(
-          attr, *plan.best_a[ai], *plan.best_b[ai], plan.best[ai]);
-    }
-  }
+  return ComputePropPlan(*st.dataset, st.config->schema, *st.entities, node,
+                         plan);
 }
 
 /// Recomputes the node's overall similarity and stamps the cache.
@@ -164,7 +74,10 @@ double RefreshNodeSimilarity(ErRunState& st, RelNodeId id) {
   }
   if (st.config->enable_prop_a) {
     PropPlan plan;
-    if (ComputePropPlan(st, id, &plan)) ApplyPropPlan(st, id, plan);
+    if (ComputeGatedPropPlan(st, id, &plan)) {
+      ApplyPropPlan(st.config->schema, st.config->atomic_threshold, plan, id,
+                    &st.graph);
+    }
   }
   FinishNodeRefresh(st, id);
   return st.graph.rel_node(id).similarity;
@@ -196,11 +109,14 @@ void RefreshStaleNodes(ErRunState& st, const ExecutionContext& exec) {
       [&](size_t k) {
         PropPlan& plan = plans[k % kBatch];
         plan = PropPlan();
-        if (prop_a) ComputePropPlan(st, stale[k], &plan);
+        if (prop_a) ComputeGatedPropPlan(st, stale[k], &plan);
       },
       [&](size_t k) {
         const PropPlan& plan = plans[k % kBatch];
-        if (plan.changed) ApplyPropPlan(st, stale[k], plan);
+        if (plan.changed) {
+          ApplyPropPlan(st.config->schema, st.config->atomic_threshold, plan,
+                        stale[k], &st.graph);
+        }
         FinishNodeRefresh(st, stale[k]);
       });
 }

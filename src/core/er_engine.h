@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/clusterer.h"
 #include "core/entity_store.h"
 #include "core/er_config.h"
 #include "core/similarity.h"
@@ -21,8 +22,12 @@ struct ErResult {
   std::unique_ptr<EntityStore> entities;
   ErStats stats;
 
+  /// The clustering as canonical per-record labels plus `stats` (the
+  /// registry's "graph" Clusterer returns exactly this).
+  ClustererResult Clusters() const;
+
   /// All record pairs classified as matches (pairs co-resident in a
-  /// cluster), ordered (first < second).
+  /// cluster), ordered (first < second): Clusters().MatchedPairs().
   std::vector<std::pair<RecordId, RecordId>> MatchedPairs() const;
 };
 

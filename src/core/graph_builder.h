@@ -18,8 +18,7 @@ namespace snaps {
 /// attribute similarity >= t_a becomes a relational node; atomic nodes
 /// are attached per attribute at threshold t_a; relationship edges
 /// connect nodes whose role relations agree on both certificates.
-/// Shared by the SNAPS engine and the Dep-Graph baseline. Timing and
-/// size fields of `stats` are filled in.
+/// Timing and size fields of `stats` are filled in.
 ///
 /// The per-block work (member filtering, relationship edges,
 /// connected components, pairwise attribute similarities) is pure and
@@ -34,8 +33,9 @@ void BuildDependencyGraphForDataset(
 /// The same construction over a pre-computed candidate list (ordered,
 /// deduplicated, as produced by any Blocker::CandidatePairs), skipping
 /// the blocking step. Lets drivers run blocking once and feed several
-/// clustering techniques, and keeps the graph construction independent
-/// of which blocking technique produced the candidates.
+/// clustering techniques (the SNAPS engine and the Dep-Graph
+/// baseline), and keeps the graph construction independent of which
+/// blocking technique produced the candidates.
 /// `stats->atomic_gen_seconds` (the blocking time) is left untouched.
 void BuildDependencyGraphFromCandidates(
     const Dataset& dataset, const ErConfig& config,

@@ -166,6 +166,12 @@ SearchOutcome QueryProcessor::Search(const Query& query,
   accumulate(QueryField::kSurname, qsurname, surname_wildcard);
 
   const std::string qparish = NormalizeValue(query.parish);
+  // Looked up once per search, not per candidate: a parish missing
+  // from the index (a misspelling) costs one bigram scan.
+  const SimilarMatches parish_matches = [&] {
+    if (qparish.empty()) return SimilarMatches(std::vector<SimilarValue>());
+    return similarity_index_->Similar(QueryField::kParish, qparish);
+  }();
 
   // Geographic region limit (future-work feature of Section 12): the
   // named place is resolved through the gazetteer and entities with a
@@ -249,8 +255,7 @@ SearchOutcome QueryProcessor::Search(const Query& query,
     // Parish refinement (exact and approximate).
     if (!qparish.empty()) {
       double psim = 0.0;
-      for (const SimilarValue& sv :
-           similarity_index_->Similar(QueryField::kParish, qparish)) {
+      for (const SimilarValue& sv : parish_matches) {
         if (std::find(node.parishes.begin(), node.parishes.end(), sv.value) !=
             node.parishes.end()) {
           if (sv.similarity > psim) {
@@ -273,7 +278,13 @@ SearchOutcome QueryProcessor::Search(const Query& query,
               if (a.score != b.score) return a.score > b.score;
               return a.node < b.node;  // Deterministic ordering.
             });
-  if (results.size() > config_.top_m) results.resize(config_.top_m);
+  if (results.size() > config_.top_m) {
+    results.resize(config_.top_m);
+    // The buffer still holds room for every candidate (thousands for
+    // a misspelt name); callers that keep responses should not pay
+    // for it.
+    results.shrink_to_fit();
+  }
   return outcome;
 }
 

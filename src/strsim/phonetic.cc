@@ -65,7 +65,8 @@ void ReplaceSuffix(std::string* s, std::string_view from,
                    std::string_view to) {
   if (s->size() >= from.size() &&
       s->compare(s->size() - from.size(), from.size(), from) == 0) {
-    s->replace(s->size() - from.size(), from.size(), to);
+    s->resize(s->size() - from.size());
+    s->append(to);
   }
 }
 

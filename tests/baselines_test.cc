@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "baselines/attr_sim.h"
-#include "baselines/dep_graph.h"
-#include "baselines/rel_cluster.h"
+#include "baselines/clusterer_registry.h"
+#include "blocking/blocker_registry.h"
 #include "core/er_engine.h"
 #include "datagen/simulator.h"
 #include "eval/metrics.h"
@@ -21,6 +23,18 @@ class BaselinesTest : public ::testing::Test {
       return new GeneratedData(PopulationSimulator(cfg).Generate());
     }();
     return *data;
+  }
+
+  /// Clusters `ds` with the registered technique `name` over the
+  /// default (LSH) blocker's candidate pairs.
+  static ClustererResult Cluster(const std::string& name,
+                                 const Dataset& ds) {
+    ClustererSpec spec;
+    spec.name = name;
+    const auto candidates =
+        CreateBlocker(BlockerSpec()).value()->CandidatePairs(ds);
+    return CreateClusterer(spec).value()->Cluster(ds, candidates,
+                                                  ExecutionContext());
   }
 };
 
@@ -69,48 +83,51 @@ TEST_F(BaselinesTest, AttrSimHasHighRecallLowPrecision) {
 // -------------------------------------------------------- DepGraph.
 
 TEST_F(BaselinesTest, DepGraphProducesValidClusters) {
-  DepGraphResult res = DepGraphBaseline().Link(Data().dataset);
+  const ClustererResult res = Cluster("depgraph", Data().dataset);
   EXPECT_GT(res.stats.num_merged_nodes, 0u);
-  for (EntityId e : res.entities->NonSingletonEntities()) {
-    int bb = 0;
-    for (RecordId r : res.entities->cluster(e).records) {
-      if (Data().dataset.record(r).role == Role::kBb) ++bb;
+  std::map<uint32_t, int> bb_per_cluster;
+  for (RecordId r = 0; r < res.cluster_of.size(); ++r) {
+    if (Data().dataset.record(r).role == Role::kBb) {
+      ++bb_per_cluster[res.cluster_of[r]];
     }
-    EXPECT_LE(bb, 1);  // Constraints enforced.
+  }
+  for (const auto& [label, bb] : bb_per_cluster) {
+    EXPECT_LE(bb, 1) << "cluster " << label;  // Constraints enforced.
   }
 }
 
 TEST_F(BaselinesTest, DepGraphProducesUsefulLinkage) {
   const auto dep_q = EvaluatePairs(
-      Data().dataset, DepGraphBaseline().Link(Data().dataset).MatchedPairs(),
+      Data().dataset, Cluster("depgraph", Data().dataset).MatchedPairs(),
       RolePairClass::kBpBp);
   // Sanity floor; the exact comparison against Attr-Sim is data-
-  // dependent and reproduced by the Table 4 bench.
+  // dependent and reproduced by the Table 4 preset of
+  // bench_ablation_matrix.
   EXPECT_GT(dep_q.FStar(), 0.2);
   EXPECT_GT(dep_q.Recall(), 0.4);
 }
 
 TEST_F(BaselinesTest, DepGraphDeterministic) {
-  const auto a = DepGraphBaseline().Link(Data().dataset).MatchedPairs();
-  const auto b = DepGraphBaseline().Link(Data().dataset).MatchedPairs();
+  const auto a = Cluster("depgraph", Data().dataset).MatchedPairs();
+  const auto b = Cluster("depgraph", Data().dataset).MatchedPairs();
   EXPECT_EQ(a, b);
 }
 
 // ------------------------------------------------------ RelCluster.
 
 TEST_F(BaselinesTest, RelClusterAssignsEveryRecord) {
-  RelClusterResult res = RelClusterBaseline().Link(Data().dataset);
+  const ClustererResult res = Cluster("relcluster", Data().dataset);
   EXPECT_EQ(res.cluster_of.size(), Data().dataset.num_records());
 }
 
 TEST_F(BaselinesTest, RelClusterMergesSomething) {
-  RelClusterResult res = RelClusterBaseline().Link(Data().dataset);
+  const ClustererResult res = Cluster("relcluster", Data().dataset);
   EXPECT_GT(res.stats.num_merged_nodes, 0u);
   EXPECT_GT(res.stats.num_entities, 0u);
 }
 
 TEST_F(BaselinesTest, RelClusterMatchedPairsConsistent) {
-  RelClusterResult res = RelClusterBaseline().Link(Data().dataset);
+  const ClustererResult res = Cluster("relcluster", Data().dataset);
   const auto pairs = res.MatchedPairs();
   for (const auto& [a, b] : pairs) {
     EXPECT_LT(a, b);
@@ -128,9 +145,9 @@ TEST_F(BaselinesTest, SnapsWinsOnFStar) {
   const auto attr_q =
       EvaluatePairs(ds, AttrSimBaseline().Link(ds), RolePairClass::kBpBp);
   const auto dep_q = EvaluatePairs(
-      ds, DepGraphBaseline().Link(ds).MatchedPairs(), RolePairClass::kBpBp);
+      ds, Cluster("depgraph", ds).MatchedPairs(), RolePairClass::kBpBp);
   const auto rel_q = EvaluatePairs(
-      ds, RelClusterBaseline().Link(ds).MatchedPairs(), RolePairClass::kBpBp);
+      ds, Cluster("relcluster", ds).MatchedPairs(), RolePairClass::kBpBp);
   EXPECT_GT(snaps_q.FStar(), attr_q.FStar());
   EXPECT_GT(snaps_q.FStar(), dep_q.FStar());
   EXPECT_GT(snaps_q.FStar(), rel_q.FStar());

@@ -11,7 +11,7 @@ PedigreeGraph MakeChain(int generations) {
   PedigreeGraph g;
   for (int i = 0; i <= generations; ++i) {
     PedigreeNode n;
-    n.first_names = {"p" + std::to_string(i)};
+    n.first_names = {std::string("p").append(std::to_string(i))};
     n.gender = Gender::kFemale;
     g.AddNode(std::move(n));
   }

@@ -385,7 +385,8 @@ TEST(QuarantineTest, PipelineResolvesSalvageableRecordsAndSurfacesCounts) {
   csv += "bad,row\n";
   ASSERT_TRUE(WriteStringToFile(path, csv).ok());
 
-  PipelineRunner runner{PipelineConfig{}};
+  const PipelineConfig config;
+  PipelineRunner runner(config);
   LoadReport report;
   Result<PipelineOutput> out = runner.RunCsvFile(path, &report);
   ASSERT_TRUE(out.ok()) << out.status().ToString();

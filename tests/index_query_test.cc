@@ -254,6 +254,25 @@ TEST_F(IndexQueryTest, ParishRefinement) {
   EXPECT_EQ(results[0].matched_parish, "portree");
 }
 
+TEST_F(IndexQueryTest, UnindexedParishMatchesApproximately) {
+  // "portre" is in no index list: the similar parishes come from one
+  // on-the-fly bigram lookup per search, and every candidate is scored
+  // against them.
+  Query q;
+  q.first_name = "flora";
+  q.surname = "mackinnon";
+  q.parish = "portre";
+  const auto results = processor_->Search(q).results;
+  ASSERT_FALSE(results.empty());
+  EXPECT_EQ(results[0].parish_match, MatchType::kApproximate);
+  EXPECT_EQ(results[0].matched_parish, "portree");
+  for (const RankedResult& r : results) {
+    if (r.parish_match != MatchType::kNone) {
+      EXPECT_EQ(r.matched_parish, "portree");
+    }
+  }
+}
+
 TEST_F(IndexQueryTest, RankingPrefersBetterMatches) {
   Query q;
   q.first_name = "flora";

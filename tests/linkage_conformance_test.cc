@@ -218,6 +218,25 @@ TEST(ClustererSpecTest, GraphRejectsEachInvalidField) {
   EXPECT_TRUE(CreateClusterer(ClustererSpec()).ok());
 }
 
+TEST(ClustererSpecTest, DepGraphRejectsEachInvalidField) {
+  ClustererSpec spec;
+  spec.name = "depgraph";
+  EXPECT_TRUE(CreateClusterer(spec).ok());
+  spec.depgraph.er.merge_threshold = 1.5;
+  EXPECT_FALSE(CreateClusterer(spec).ok());
+  spec.depgraph = DepGraphConfig();
+  spec.depgraph.er.atomic_threshold = -0.1;
+  EXPECT_FALSE(CreateClusterer(spec).ok());
+  spec.depgraph = DepGraphConfig();
+  spec.depgraph.er.gamma = 2.0;
+  EXPECT_FALSE(CreateClusterer(spec).ok());
+  // Only the named technique's config is consulted: a broken "graph"
+  // config does not reject "depgraph".
+  spec.depgraph = DepGraphConfig();
+  spec.graph.merge_threshold = 1.5;
+  EXPECT_TRUE(CreateClusterer(spec).ok());
+}
+
 TEST(ClustererSpecTest, HierRejectsEachInvalidField) {
   ClustererSpec spec;
   spec.name = "hier";
@@ -246,9 +265,6 @@ TEST(ClustererSpecTest, RelClusterRejectsEachInvalidField) {
   EXPECT_FALSE(CreateClusterer(spec).ok());
   spec.relcluster = RelClusterConfig();
   spec.relcluster.max_iterations = 0;
-  EXPECT_FALSE(CreateClusterer(spec).ok());
-  spec.relcluster = RelClusterConfig();
-  spec.relcluster.blocker.name = "nope";
   EXPECT_FALSE(CreateClusterer(spec).ok());
 }
 

@@ -3,7 +3,8 @@
 #include <algorithm>
 
 #include "anon/anonymizer.h"
-#include "baselines/rel_cluster.h"
+#include "baselines/clusterer_registry.h"
+#include "blocking/blocker_registry.h"
 #include "core/er_engine.h"
 #include "datagen/simulator.h"
 #include "index/keyword_index.h"
@@ -106,6 +107,19 @@ TEST(AnonEdgeTest, DeterministicGivenSeed) {
 
 // --------------------------------------------- Rel-Cluster params.
 
+/// Rel-Cluster with `config` over the default (LSH) blocker's
+/// candidate pairs, through the registries.
+ClustererResult RelCluster(const RelClusterConfig& config,
+                           const Dataset& ds) {
+  ClustererSpec spec;
+  spec.name = "relcluster";
+  spec.relcluster = config;
+  const auto candidates =
+      CreateBlocker(BlockerSpec()).value()->CandidatePairs(ds);
+  return CreateClusterer(spec).value()->Cluster(ds, candidates,
+                                                ExecutionContext());
+}
+
 TEST(RelClusterParamTest, ThresholdMonotonicity) {
   SimulatorConfig cfg;
   cfg.seed = 9001;
@@ -115,10 +129,8 @@ TEST(RelClusterParamTest, ThresholdMonotonicity) {
   loose.merge_threshold = 0.60;
   RelClusterConfig strict;
   strict.merge_threshold = 0.80;
-  const auto loose_pairs =
-      RelClusterBaseline(loose).Link(data.dataset).MatchedPairs();
-  const auto strict_pairs =
-      RelClusterBaseline(strict).Link(data.dataset).MatchedPairs();
+  const auto loose_pairs = RelCluster(loose, data.dataset).MatchedPairs();
+  const auto strict_pairs = RelCluster(strict, data.dataset).MatchedPairs();
   EXPECT_GE(loose_pairs.size(), strict_pairs.size());
 }
 
@@ -131,7 +143,7 @@ TEST(RelClusterParamTest, AlphaZeroIsAttributeOnly) {
   GeneratedData data = PopulationSimulator(cfg).Generate();
   RelClusterConfig rc;
   rc.alpha = 0.0;
-  RelClusterResult res = RelClusterBaseline(rc).Link(data.dataset);
+  const ClustererResult res = RelCluster(rc, data.dataset);
   EXPECT_EQ(res.cluster_of.size(), data.dataset.num_records());
 }
 

@@ -78,7 +78,8 @@ class PipelineResumeTest : public ::testing::Test {
 };
 
 TEST_F(PipelineResumeTest, UncheckpointedRunMatchesResolve) {
-  PipelineRunner runner{PipelineConfig{}};
+  const PipelineConfig config;
+  PipelineRunner runner(config);
   Result<PipelineOutput> out = runner.Run(TestTown());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ExpectMatchesBaseline(*out);
@@ -90,8 +91,9 @@ TEST_F(PipelineResumeTest, UncheckpointedRunMatchesResolve) {
 }
 
 TEST_F(PipelineResumeTest, ResumeAfterEveryPhaseIsBitIdentical) {
+  const PipelineConfig default_config;
   const std::vector<std::string> er_phases =
-      PipelineRunner(PipelineConfig{}).ErPhaseNames();
+      PipelineRunner(default_config).ErPhaseNames();
   std::vector<std::string> kill_points = er_phases;
   kill_points.push_back("pedigree");
 

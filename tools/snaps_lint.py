@@ -96,12 +96,12 @@ BUSY_WAIT_RE = re.compile(
 VOID_DISCARD_RE = re.compile(r"\(void\)\s*[A-Za-z_][\w.:]*(->\w+)*\s*\(")
 # Concrete linkage techniques: registry-only outside their home dirs.
 CONCRETE_LINKAGE_RE = re.compile(
-    r"\b(LshBlocker|SnipBlocker|GraphClusterer|HierarchicalClusterer"
-    r"|RelClusterBaseline|AttrSimBaseline)\b")
+    r"\b(LshBlocker|SnipBlocker|GraphClusterer|DepGraphClusterer"
+    r"|HierarchicalClusterer|RelClusterBaseline|AttrSimBaseline)\b")
 CONCRETE_LINKAGE_INCLUDE_RE = re.compile(
     r'#\s*include\s*"(?:blocking/(?:lsh|snip)_blocker'
-    r"|baselines/(?:graph_clusterer|hierarchical_clusterer|rel_cluster"
-    r'|attr_sim))\.h"')
+    r"|baselines/(?:graph_clusterer|dep_graph|hierarchical_clusterer"
+    r'|rel_cluster|attr_sim))\.h"')
 GUARD_RE = re.compile(r"^#ifndef\s+(\w+)\s*$")
 
 STRING_OR_CHAR_RE = re.compile(r'"(\\.|[^"\\])*"|' + r"'(\\.|[^'\\])*'")
